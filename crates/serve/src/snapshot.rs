@@ -31,8 +31,9 @@ use sisg_core::serving::MatchingParts;
 use sisg_core::{MatchingService, Recommendation, SiAggregation, SisgModel};
 use sisg_corpus::{ItemId, TokenId, UserRegistry};
 use sisg_embedding::codec::{encode_quant, QuantBlob};
-use sisg_embedding::{Neighbor, QuantMatrix};
+use sisg_embedding::{Matrix, Neighbor, QuantMatrix};
 use sisg_obs::Stopwatch;
+use std::num::NonZeroUsize;
 
 /// Per-request tenant context threaded from the engine's submit path into
 /// the worker's serve call: who to account the request to, how to
@@ -71,36 +72,61 @@ pub struct ColdIndex {
 }
 
 impl ColdIndex {
-    /// Quantizes and indexes the model's normalized item matrix, sharded
-    /// the same way as the warm lists. Returns `None` only if an encoded
-    /// shard blob fails to parse back (cannot happen for blobs we just
-    /// encoded; the caller degrades to brute force rather than panicking —
-    /// this crate's API is panic-free).
-    fn build(model: &SisgModel, n_shards: usize, ef_search: usize) -> Option<Self> {
-        let item_norm = model.item_norm_matrix();
-        let n_items = item_norm.rows();
-        let dim = item_norm.dim();
+    /// Quantizes and indexes the normalized item matrix `item_norm`,
+    /// sharded the same way as the warm lists.
+    ///
+    /// The shard graphs are built concurrently on up to
+    /// `min(n_shards, available_parallelism)` scoped threads, shards
+    /// striped across them, and the caller blocks until they finish. Next
+    /// to a live engine (e.g. an ingest pipeline publishing a snapshot)
+    /// the build competes with the serve workers for every core. Each
+    /// shard graph is seeded and inserted independently of the others, so
+    /// the result is identical to building the shards one after another.
+    ///
+    /// Returns `None` only if an encoded shard blob fails to parse back
+    /// (cannot happen for blobs we just encoded; the caller degrades to
+    /// brute force rather than panicking — this crate's API is
+    /// panic-free). A panic on a build thread is re-raised on the caller,
+    /// not degraded.
+    fn build(item_norm: &Matrix, n_shards: usize, ef_search: usize) -> Option<Self> {
         let config = HnswConfig {
             ef_search,
             ..HnswConfig::default()
         };
-        let mut indexes = Vec::with_capacity(n_shards);
-        let mut link_bytes = 0usize;
-        for s in 0..n_shards {
-            let count = if s < n_items {
-                (n_items - s - 1) / n_shards + 1
-            } else {
-                0
-            };
-            let qm = QuantMatrix::from_rows(count, dim, |l| item_norm.row(l * n_shards + s));
-            let blob = QuantBlob::new(encode_quant(&qm)).ok()?;
-            let index = QHnswIndex::build(blob, config);
-            link_bytes += index.link_bytes();
-            indexes.push(index);
-        }
+        let workers = std::thread::available_parallelism()
+            .map_or(1, NonZeroUsize::get)
+            .min(n_shards);
+        let mut slots: Vec<Option<QHnswIndex<QuantBlob>>> = (0..n_shards).map(|_| None).collect();
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|w| {
+                    scope.spawn(move || {
+                        (w..n_shards)
+                            .step_by(workers)
+                            .map(|s| {
+                                let blob = shard_blob(item_norm, n_shards, s);
+                                (s, blob.map(|blob| QHnswIndex::build(blob, config)))
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            for handle in handles {
+                match handle.join() {
+                    Ok(built) => {
+                        for (s, index) in built {
+                            slots[s] = index;
+                        }
+                    }
+                    Err(payload) => std::panic::resume_unwind(payload),
+                }
+            }
+        });
+        let indexes: Vec<_> = slots.into_iter().collect::<Option<_>>()?;
+        let link_bytes = indexes.iter().map(QHnswIndex::link_bytes).sum();
         Some(Self {
             indexes,
-            bytes_per_item: dim + std::mem::size_of::<f32>(),
+            bytes_per_item: item_norm.dim() + std::mem::size_of::<f32>(),
             link_bytes,
         })
     }
@@ -114,6 +140,25 @@ impl ColdIndex {
     pub fn link_bytes(&self) -> usize {
         self.link_bytes
     }
+}
+
+/// The int8 codec blob of shard `s`: rows `s, s + n_shards, …` of
+/// `item_norm`, quantized and encoded. The intermediate [`QuantMatrix`] is
+/// dropped as soon as it is encoded, so concurrent shard builds each hold
+/// only their blob. `None` if the blob fails to parse back.
+fn shard_blob(item_norm: &Matrix, n_shards: usize, s: usize) -> Option<QuantBlob> {
+    let n_items = item_norm.rows();
+    let count = if s < n_items {
+        (n_items - s - 1) / n_shards + 1
+    } else {
+        0
+    };
+    let bytes = {
+        let qm =
+            QuantMatrix::from_rows(count, item_norm.dim(), |l| item_norm.row(l * n_shards + s));
+        encode_quant(&qm)
+    };
+    QuantBlob::new(bytes).ok()
 }
 
 impl std::fmt::Debug for ColdIndex {
@@ -161,6 +206,11 @@ impl ServingSnapshot {
     /// Reshards a built [`MatchingService`] and equips the requested cold
     /// path. Building [`ColdPathMode::QuantAnn`] quantizes and indexes the
     /// catalog once, here — the request path never allocates an index.
+    /// That build runs the per-shard graphs on up to
+    /// `min(n_shards, available_parallelism)` threads and blocks until
+    /// they finish, so a caller next to a live engine (an ingest thread
+    /// publishing a snapshot, say) shares every core with its serve
+    /// workers for the duration.
     pub fn from_service_with(
         service: MatchingService,
         n_shards: usize,
@@ -182,7 +232,9 @@ impl ServingSnapshot {
         }
         let cold_index = match cold_path {
             ColdPathMode::BruteForce => None,
-            ColdPathMode::QuantAnn { ef_search } => ColdIndex::build(&model, n_shards, ef_search),
+            ColdPathMode::QuantAnn { ef_search } => {
+                ColdIndex::build(model.item_norm_matrix(), n_shards, ef_search)
+            }
         };
         Self {
             n_shards,
@@ -430,5 +482,73 @@ impl ServingSnapshot {
                 score: n.score,
             })
             .collect())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sisg_embedding::math::normalize;
+
+    // The scoped shard build moves finished indexes across threads, and
+    // the engine shares snapshots through `Arc<ServingSnapshot>`: an
+    // `Rc`/`Cell` creeping into the index must fail here, at compile time.
+    const _: () = {
+        const fn send_sync<T: Send + Sync>() {}
+        send_sync::<QHnswIndex<QuantBlob>>();
+        send_sync::<ColdIndex>();
+    };
+
+    fn unit_rows(rows: usize, dim: usize, seed: u64) -> Matrix {
+        let mut m = Matrix::uniform_init(rows, dim, seed);
+        for i in 0..rows {
+            normalize(m.row_mut(i));
+        }
+        m
+    }
+
+    #[test]
+    fn parallel_cold_index_is_identical_to_serial_shard_builds() {
+        let ef_search = 32;
+        let config = HnswConfig {
+            ef_search,
+            ..HnswConfig::default()
+        };
+        let bits = |hits: &[sisg_ann::Hit]| -> Vec<(u32, u32)> {
+            hits.iter().map(|h| (h.id.0, h.score.to_bits())).collect()
+        };
+        let dim = 16;
+        let queries = unit_rows(24, dim, 99);
+        // 5 items leave shards empty under 8 shards; 700 items give every
+        // shard a multi-layer graph.
+        for n_items in [5, 700] {
+            let item_norm = unit_rows(n_items, dim, 7);
+            for n_shards in [1, 2, 3, 8] {
+                let parallel = ColdIndex::build(&item_norm, n_shards, ef_search).expect("build");
+                let serial: Vec<_> = (0..n_shards)
+                    .map(|s| {
+                        let blob = shard_blob(&item_norm, n_shards, s).expect("blob parses");
+                        QHnswIndex::build(blob, config)
+                    })
+                    .collect();
+                let case = format!("{n_items} items, {n_shards} shards");
+                assert_eq!(parallel.indexes.len(), n_shards, "{case}");
+                assert_eq!(
+                    parallel.link_bytes(),
+                    serial.iter().map(QHnswIndex::link_bytes).sum::<usize>(),
+                    "{case}"
+                );
+                for (s, (p, r)) in parallel.indexes.iter().zip(&serial).enumerate() {
+                    assert_eq!(p.layers(), r.layers(), "{case}, shard {s}");
+                    assert_eq!(p.link_bytes(), r.link_bytes(), "{case}, shard {s}");
+                    for q in 0..queries.rows() {
+                        let (p_hits, p_hops) = p.search_with_effort(queries.row(q), 10);
+                        let (r_hits, r_hops) = r.search_with_effort(queries.row(q), 10);
+                        assert_eq!(p_hops, r_hops, "{case}, shard {s}, query {q}");
+                        assert_eq!(bits(&p_hits), bits(&r_hits), "{case}, shard {s}, query {q}");
+                    }
+                }
+            }
+        }
     }
 }

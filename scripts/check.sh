@@ -30,6 +30,12 @@ step "tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
+step "serve + ann suites"
+# Tier-1 runs only the root package. The serving engine (hot-swap,
+# backpressure, QuantAnn-vs-brute-force parity, the parallel ColdIndex
+# bit-identity test) and the ANN indexes have suites of their own.
+cargo test --release -q -p sisg-serve -p sisg-ann
+
 step "interleave: schedule-exhaustive protocol model checks"
 # Enumerates every interleaving of the modeled hot-swap, cache-clear and
 # RowPtr protocols and pins the exact schedule counts (DESIGN.md §7). The
